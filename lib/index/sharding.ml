@@ -238,67 +238,111 @@ type root_summary = {
 (* The join algorithms reach the root having erased exactly the rows that
    sit inside a subtree containing every query keyword (matches are
    upward-closed below the root, so any erased row's own top-level
-   subtree is keyword-complete).  One pass over the keyword lists
-   therefore reconstructs the root's evidence: group occurrences by
-   top-level subtree, find the keyword-complete subtrees, and take
-   per-keyword maxima of the root-damped contributions over all rows
-   ([rs_best_all]) and over the un-erased rows ([rs_best_free]). *)
+   subtree is keyword-complete).  That is Algorithm 1's join at level 2:
+   JDewey numbers are unique per depth and rows are in document order, so
+   each run of a list's level-2 column is one top-level subtree's
+   contiguous rows, and the root's own row (the only row shorter than 2)
+   precedes the first run.  One scan per keyword takes the best
+   root-damped witness at the root and per run; the keyword-complete
+   subtrees are the intersection of the keywords' sorted run values; and
+   [rs_best_free] is the per-run maxima with those subtrees skipped.
+   Maxima fold in row order with the same strict [>] as a row-at-a-time
+   scan, so the floats are bit-identical to one. *)
+
+let better acc d = if d > acc then d else acc
+
+(* Sorted intersection of a strictly increasing value array with a
+   column's runs: a linear merge. *)
+let intersect (vs : int array) (runs : Column.run array) =
+  let out = Array.make (Int.min (Array.length vs) (Array.length runs)) 0 in
+  let n = ref 0 and i = ref 0 and j = ref 0 in
+  while !i < Array.length vs && !j < Array.length runs do
+    let v = vs.(!i) and w = runs.(!j).value in
+    if v < w then incr i
+    else if w < v then incr j
+    else begin
+      out.(!n) <- v;
+      incr n;
+      incr i;
+      incr j
+    end
+  done;
+  Array.sub out 0 !n
+
 let root_summary ?(budget = Xk_resilience.Budget.unlimited) t ~shard words =
   let idx = index t shard in
-  let lab = Index.label idx in
   let damping = Index.damping idx in
-  let nw = List.length words in
-  let ids = Array.of_list (List.map (Index.term_id idx) words) in
-  let best_all = Array.make nw neg_infinity in
-  let best_free = Array.make nw neg_infinity in
-  let coverage : (int, bool array) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun i id ->
-      match id with
-      | None -> ()
-      | Some id ->
-          let jl = Index.jlist idx id in
-          for r = 0 to Jlist.length jl - 1 do
-            Xk_resilience.Budget.check budget;
-            match Xk_encoding.Labeling.ancestor_at lab (Jlist.node jl r) ~depth:2 with
-            | None -> () (* an occurrence at the root itself *)
-            | Some top ->
-                let mask =
-                  match Hashtbl.find_opt coverage top with
-                  | Some m -> m
-                  | None ->
-                      let m = Array.make nw false in
-                      Hashtbl.add coverage top m;
-                      m
-                in
-                mask.(i) <- true
-          done)
-    ids;
-  let complete mask = Array.for_all Fun.id mask in
-  let full_subtree =
-    nw > 0 && Hashtbl.fold (fun _ m acc -> acc || complete m) coverage false
+  let lists =
+    Array.of_list
+      (List.map (fun w -> Option.map (Index.jlist idx) (Index.term_id idx w)) words)
   in
+  let nw = Array.length lists in
+  let best_all = Array.make nw neg_infinity in
+  let runs = Array.make nw [||] in
+  let run_best = Array.make nw [||] in
+  let root_best = Array.make nw neg_infinity in
   Array.iteri
-    (fun i id ->
-      match id with
+    (fun i -> function
       | None -> ()
-      | Some id ->
-          let jl = Index.jlist idx id in
-          for r = 0 to Jlist.length jl - 1 do
-            Xk_resilience.Budget.check budget;
-            let damped =
-              Jlist.score jl r
-              *. Xk_score.Damping.apply damping (Jlist.row_len jl r - 1)
-            in
-            if damped > best_all.(i) then best_all.(i) <- damped;
-            let free =
-              match
-                Xk_encoding.Labeling.ancestor_at lab (Jlist.node jl r) ~depth:2
-              with
-              | None -> true
-              | Some top -> not (complete (Hashtbl.find coverage top))
-            in
-            if free && damped > best_free.(i) then best_free.(i) <- damped
-          done)
-    ids;
-  { rs_best_all = best_all; rs_best_free = best_free; rs_full_subtree = full_subtree }
+      | Some jl when Jlist.length jl = 0 -> ()
+      | Some jl ->
+          Xk_resilience.Budget.check budget;
+          let best_in lo hi =
+            let b = ref neg_infinity in
+            for r = lo to hi - 1 do
+              b :=
+                better !b
+                  (Jlist.score jl r
+                  *. Xk_score.Damping.apply damping (Jlist.row_len jl r - 1))
+            done;
+            !b
+          in
+          let rs =
+            if Jlist.max_len jl < 2 then [||]
+            else Column.runs (Jlist.column jl ~level:2)
+          in
+          let root_end =
+            if Array.length rs = 0 then Jlist.length jl else rs.(0).start_row
+          in
+          root_best.(i) <- best_in 0 root_end;
+          let rb =
+            Array.map
+              (fun (run : Column.run) ->
+                Xk_resilience.Budget.check budget;
+                best_in run.start_row (run.start_row + run.count))
+              rs
+          in
+          runs.(i) <- rs;
+          run_best.(i) <- rb;
+          best_all.(i) <- Array.fold_left better root_best.(i) rb)
+    lists;
+  (* A keyword absent from the shard (or from the vocabulary) has no
+     runs, which empties the intersection. *)
+  let complete =
+    if nw = 0 then [||]
+    else
+      Array.fold_left intersect
+        (Array.map (fun (r : Column.run) -> r.value) runs.(0))
+        (Array.sub runs 1 (nw - 1))
+  in
+  let best_free =
+    Array.mapi
+      (fun i rs ->
+        let rb = run_best.(i) in
+        let b = ref root_best.(i) and c = ref 0 in
+        Array.iteri
+          (fun j (run : Column.run) ->
+            while !c < Array.length complete && complete.(!c) < run.value do
+              incr c
+            done;
+            if not (!c < Array.length complete && complete.(!c) = run.value)
+            then b := better !b rb.(j))
+          rs;
+        !b)
+      runs
+  in
+  {
+    rs_best_all = best_all;
+    rs_best_free = best_free;
+    rs_full_subtree = Array.length complete > 0;
+  }

@@ -106,6 +106,17 @@ type root_summary = {
 
 val root_summary :
   ?budget:Xk_resilience.Budget.t -> t -> shard:int -> string list -> root_summary
-(** One pass over the shard's inverted lists of the given keywords
-    (matching is case-insensitive, as in the engine).  Polls [budget] and
-    raises [Xk_resilience.Budget.Expired] on expiry. *)
+(** The level-2 step of the paper's JDewey column join, over the shard's
+    inverted lists of the given keywords (matching is case-insensitive,
+    as in the engine).  Each run of a list's level-2 column is one
+    top-level subtree's contiguous rows, and the root's own row precedes
+    the first run.  One scan per keyword takes the best root-damped
+    witness at the root and per run; a linear merge of the keywords'
+    sorted run values finds the keyword-complete subtrees; a second
+    linear merge per keyword skips them for [rs_best_free].
+
+    Cost: one scan of the query's rows plus O(Σ level-2 runs), with no
+    parent climbs and no hash table.  Polls [budget] once per keyword
+    with rows and once per level-2 run scanned, raising
+    [Xk_resilience.Budget.Expired] on expiry, so an exhausted budget
+    raises whenever some keyword has a row in the shard. *)

@@ -528,7 +528,8 @@ let remote_budget_degrades () =
   let doc = Tutil.random_doc 2044 in
   let sharded = Xk_index.Sharding.partition ~shards:2 doc in
   (* A keyword with at least one posting in shard 0, so the server-side
-     budget provably gets polled (root_summary checks per posting). *)
+     budget provably gets polled (root_summary polls once per keyword
+     with rows and once per level-2 run). *)
   let word =
     let idx0 = Xk_index.Sharding.index sharded 0 in
     let rec find k =

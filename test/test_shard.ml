@@ -293,7 +293,7 @@ let root_edge_cases () =
     "<r><a>Apple apple</a><b>APPLE banana</b></r>" 3 None
     [ "Apple"; "apple"; "APPLE"; "banana" ]
 
-(* --- Persistence ------------------------------------------------------ *)
+(* --- Root summary against a reference ------------------------------- *)
 
 let with_tmpdir f =
   let dir = Filename.temp_file "xk_shard" "" in
@@ -306,6 +306,253 @@ let with_tmpdir f =
         (Sys.readdir dir);
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () -> f dir)
+
+(* The row-at-a-time summary: climb every posting to its top-level
+   ancestor, group occurrences in a hash table, then rescan every posting
+   for the maxima.  [Sharding.root_summary] must agree with it exactly. *)
+let reference_root_summary sharding ~shard words :
+    Xk_index.Sharding.root_summary =
+  let open Xk_index in
+  let idx = Sharding.index sharding shard in
+  let lab = Index.label idx in
+  let damping = Index.damping idx in
+  let nw = List.length words in
+  let ids = Array.of_list (List.map (Index.term_id idx) words) in
+  let best_all = Array.make nw neg_infinity in
+  let best_free = Array.make nw neg_infinity in
+  let coverage : (int, bool array) Hashtbl.t = Hashtbl.create 64 in
+  let top_of jl r =
+    Xk_encoding.Labeling.ancestor_at lab (Jlist.node jl r) ~depth:2
+  in
+  Array.iteri
+    (fun i id ->
+      Option.iter
+        (fun id ->
+          let jl = Index.jlist idx id in
+          for r = 0 to Jlist.length jl - 1 do
+            Option.iter
+              (fun top ->
+                let mask =
+                  match Hashtbl.find_opt coverage top with
+                  | Some m -> m
+                  | None ->
+                      let m = Array.make nw false in
+                      Hashtbl.add coverage top m;
+                      m
+                in
+                mask.(i) <- true)
+              (top_of jl r)
+          done)
+        id)
+    ids;
+  let complete mask = Array.for_all Fun.id mask in
+  let full_subtree =
+    nw > 0 && Hashtbl.fold (fun _ m acc -> acc || complete m) coverage false
+  in
+  Array.iteri
+    (fun i id ->
+      Option.iter
+        (fun id ->
+          let jl = Index.jlist idx id in
+          for r = 0 to Jlist.length jl - 1 do
+            let damped =
+              Jlist.score jl r
+              *. Xk_score.Damping.apply damping (Jlist.row_len jl r - 1)
+            in
+            if damped > best_all.(i) then best_all.(i) <- damped;
+            let free =
+              match top_of jl r with
+              | None -> true
+              | Some top -> not (complete (Hashtbl.find coverage top))
+            in
+            if free && damped > best_free.(i) then best_free.(i) <- damped
+          done)
+        id)
+    ids;
+  {
+    rs_best_all = best_all;
+    rs_best_free = best_free;
+    rs_full_subtree = full_subtree;
+  }
+
+let pp_floats a =
+  String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") a))
+
+(* [None] when every shard's summary equals the reference, else a report
+   of the first mismatch. *)
+let summary_mismatch sharding words =
+  let rec go shard =
+    if shard >= Xk_index.Sharding.count sharding then None
+    else
+      let got = Xk_index.Sharding.root_summary sharding ~shard words in
+      let want = reference_root_summary sharding ~shard words in
+      if
+        got.rs_best_all = want.rs_best_all
+        && got.rs_best_free = want.rs_best_free
+        && got.rs_full_subtree = want.rs_full_subtree
+      then go (shard + 1)
+      else
+        Some
+          (Printf.sprintf
+             "shard %d of %d, words [%s]: all [%s] vs [%s], free [%s] vs \
+              [%s], full %b vs %b"
+             shard
+             (Xk_index.Sharding.count sharding)
+             (String.concat " " words) (pp_floats got.rs_best_all)
+             (pp_floats want.rs_best_all) (pp_floats got.rs_best_free)
+             (pp_floats want.rs_best_free) got.rs_full_subtree
+             want.rs_full_subtree)
+  in
+  go 0
+
+(* The budget contract [Shard_run] and the RPC server depend on: an
+   exhausted budget stops the summary whenever it has any row to look
+   at.  [Some report] names a shard that summarized past it. *)
+let starved_summary_escapes sharding words =
+  let open Xk_index in
+  let has_rows idx w =
+    match Index.term_id idx w with
+    | Some id -> Jlist.length (Index.jlist idx id) > 0
+    | None -> false
+  in
+  List.find_map
+    (fun shard ->
+      let budget = Xk_resilience.Budget.create ~ticks:0 () in
+      match Sharding.root_summary ~budget sharding ~shard words with
+      | exception Xk_resilience.Budget.Expired -> None
+      | _ when List.exists (has_rows (Sharding.index sharding shard)) words ->
+          Some
+            (Printf.sprintf "shard %d summarized [%s] past a zero-tick budget"
+               shard (String.concat " " words))
+      | _ -> None)
+    (List.init (Sharding.count sharding) Fun.id)
+
+(* 0-4 alphabet keywords, sometimes with a word no document contains. *)
+let random_words rng =
+  let words =
+    Tutil.random_query rng ~k:(Xk_datagen.Rng.int rng 5) ~alphabet:26
+  in
+  if Xk_datagen.Rng.int rng 4 = 0 then "zeppelin" :: words else words
+
+let summary_reference_prop =
+  QCheck.Test.make ~count:150
+    ~name:"root_summary = posting-walk reference (random docs, 1-8 shards)"
+    QCheck.(pair (int_bound 1_000_000) small_nat)
+    (fun (seed, shards_raw) ->
+      let shards = 1 + (shards_raw mod 8) in
+      let doc = Tutil.random_doc seed in
+      let sharding = Xk_index.Sharding.partition ~shards doc in
+      let rng = Xk_datagen.Rng.create (seed + 31) in
+      List.for_all
+        (fun _ ->
+          match summary_mismatch sharding (random_words rng) with
+          | None -> true
+          | Some msg -> QCheck.Test.fail_report msg)
+        [ 1; 2; 3; 4 ])
+
+(* The shapes that make the root interesting, under every subset of
+   their keywords and several partitions: a root-attribute keyword, text
+   directly under the root, keyword-complete subtrees, and a document
+   whose every keyword sits at the root alone. *)
+let summary_root_edge_cases () =
+  let docs =
+    [
+      "<r name='apple'><a>banana</a><b>cherry apple</b></r>";
+      "<r>apple <a>banana</a> cherry<b>apple banana</b>banana</r>";
+      "<r><a><x>apple</x><y>banana</y></a><b>apple</b><c>banana \
+       cherry</c></r>";
+      "<r name='apple banana'>cherry</r>";
+    ]
+  in
+  let rec subsets = function
+    | [] -> [ [] ]
+    | w :: ws ->
+        let rest = subsets ws in
+        rest @ List.map (fun s -> w :: s) rest
+  in
+  List.iter
+    (fun xml ->
+      let doc = { Xk_xml.Xml_tree.root = doc_of_string xml } in
+      List.iter
+        (fun shards ->
+          let sharding = Xk_index.Sharding.partition ~shards doc in
+          List.iter
+            (fun words ->
+              List.iter
+                (Option.iter (Alcotest.failf "%s: %s" xml))
+                [
+                  summary_mismatch sharding words;
+                  starved_summary_escapes sharding words;
+                ])
+            (subsets [ "apple"; "banana"; "cherry"; "zeppelin" ]))
+        [ 1; 2; 3 ])
+    docs
+
+(* A live store's snapshot: the delta shard beside several sealed
+   generations, every document its own top-level subtree. *)
+let summary_live_snapshot () =
+  with_tmpdir (fun dir ->
+      let ok what = function
+        | Ok v -> v
+        | Error e ->
+            Alcotest.failf "%s: %s" what (Xk_index.Live.error_message e)
+      in
+      let live =
+        ok "create"
+          (Xk_index.Live.create ~fsync:false ~auto_compact:150 ~root_tag:"lib"
+             dir)
+      in
+      Fun.protect
+        ~finally:(fun () -> Xk_index.Live.close live)
+        (fun () ->
+          let rng = Xk_datagen.Rng.create 4242 in
+          let kw () =
+            Xk_datagen.Random_tree.keyword (Xk_datagen.Rng.int rng 12)
+          in
+          let doc () =
+            Xk_xml.Xml_tree.(
+              elem "book"
+                [
+                  elem "title" [ text (kw () ^ " " ^ kw ()) ];
+                  elem "body" [ elem "p" [ text (kw ()) ] ];
+                ])
+          in
+          for _ = 1 to 13 do
+            ignore
+              (ok "add"
+                 (Xk_index.Live.mutate live
+                    (List.init 40 (fun _ -> Xk_index.Live.Add (doc ())))))
+          done;
+          ignore
+            (ok "edit"
+               (Xk_index.Live.mutate live
+                  [ Xk_index.Live.Replace (3, doc ()); Remove 7; Remove 401 ]));
+          let snap = Xk_index.Live.snapshot live in
+          let sharding = Xk_index.Snapshot.sharding snap in
+          check Alcotest.bool ">= 500 documents" true
+            (Xk_index.Snapshot.doc_count snap >= 500);
+          check Alcotest.bool "delta plus sealed generations" true
+            (Xk_index.Sharding.count sharding >= 3);
+          for _ = 1 to 40 do
+            Option.iter Alcotest.fail
+              (summary_mismatch sharding (random_words rng))
+          done))
+
+let summary_budget_prop =
+  QCheck.Test.make ~count:100
+    ~name:"root_summary raises Expired on a zero-tick budget when it has rows"
+    QCheck.(pair (int_bound 1_000_000) small_nat)
+    (fun (seed, shards_raw) ->
+      let shards = 1 + (shards_raw mod 6) in
+      let sharding =
+        Xk_index.Sharding.partition ~shards (Tutil.random_doc seed)
+      in
+      let rng = Xk_datagen.Rng.create (seed + 97) in
+      match starved_summary_escapes sharding (random_words rng) with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+(* --- Persistence ------------------------------------------------------ *)
 
 let flip_last_byte path =
   let ic = open_in_bin path in
@@ -824,6 +1071,13 @@ let suite =
         QCheck_alcotest.to_alcotest parity_prop;
         QCheck_alcotest.to_alcotest parity_assignment_prop;
         QCheck_alcotest.to_alcotest partial_prefix_prop;
+      ] );
+    ( "shard.summary",
+      [
+        QCheck_alcotest.to_alcotest summary_reference_prop;
+        QCheck_alcotest.to_alcotest summary_budget_prop;
+        tc "root edge cases" `Quick summary_root_edge_cases;
+        tc "live snapshot" `Quick summary_live_snapshot;
       ] );
     ( "shard.structure",
       [
