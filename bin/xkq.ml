@@ -270,9 +270,7 @@ let live_open ~init ~fsync ~auto_compact dir =
    over the snapshot's own document. *)
 let live_check snap queries =
   let engine = Xk_core.Engine.create (Xk_index.Snapshot.document snap) in
-  let sx =
-    Xk_exec.Shard_exec.create ~domains:2 (Xk_index.Snapshot.sharding snap)
-  in
+  let sx = Xk_exec.Shard_exec.create (Xk_index.Snapshot.sharding snap) in
   Fun.protect
     ~finally:(fun () -> Xk_exec.Shard_exec.shutdown sx)
     (fun () ->

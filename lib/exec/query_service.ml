@@ -49,7 +49,7 @@ type stats = {
 
 type t = {
   engine : Xk_core.Engine.t;
-  pool : Domain_pool.t;
+  pool : Xk_util.Domain_pool.t;
   max_queue : int option;
   in_flight : int Atomic.t;
   batches : int Atomic.t;
@@ -67,7 +67,10 @@ let create ?domains ?max_queue engine =
   | _ -> ());
   {
     engine;
-    pool = Domain_pool.create ?domains ();
+    pool =
+      (match domains with
+      | Some domains -> Xk_util.Domain_pool.create ~domains ()
+      | None -> Xk_util.Domain_pool.shared ());
     max_queue;
     in_flight = Atomic.make 0;
     batches = Atomic.make 0;
@@ -80,7 +83,7 @@ let create ?domains ?max_queue engine =
   }
 
 let engine t = t.engine
-let domains t = Domain_pool.size t.pool
+let domains t = Xk_util.Domain_pool.size t.pool
 
 (* Admission: count the request in-flight; turn it away when the bound is
    already met.  The increment-then-check order means a racing admit can
@@ -112,7 +115,7 @@ let exec_batch ?deadline_ms t (reqs : Xk_core.Engine.request list) =
         | None, None -> Xk_resilience.Budget.unlimited
       in
       Some
-        (Domain_pool.async t.pool (fun () ->
+        (Xk_util.Domain_pool.async t.pool (fun () ->
              Fun.protect
                ~finally:(fun () -> Atomic.decr t.in_flight)
                (fun () ->
@@ -127,7 +130,7 @@ let exec_batch ?deadline_ms t (reqs : Xk_core.Engine.request list) =
       match fut with
       | None -> Rejected
       | Some fut -> (
-          match Domain_pool.await fut with
+          match Xk_util.Domain_pool.await fut with
           | Stdlib.Ok (Xk_core.Engine.Done hs) ->
               Atomic.incr t.completed;
               Ok hs
@@ -163,4 +166,4 @@ let stats t =
     cache = Xk_index.Index.cache_stats (Xk_core.Engine.index t.engine);
   }
 
-let shutdown t = Domain_pool.shutdown t.pool
+let shutdown t = Xk_util.Domain_pool.shutdown t.pool

@@ -1,6 +1,6 @@
 (** Concurrent query serving: one shared {!Xk_core.Engine.t}, one
-    {!Domain_pool}, batches of heterogeneous requests executed in
-    parallel.
+    {!Xk_util.Domain_pool} handle, batches of heterogeneous requests
+    executed in parallel.
 
     Sharing is safe because the engine's only mutable query-path state —
     the index's per-term shape caches — sits behind sharded locks
@@ -52,10 +52,14 @@ val outcome_label : outcome -> string
     ["failed"]. *)
 
 val create : ?domains:int -> ?max_queue:int -> Xk_core.Engine.t -> t
-(** Spawn a service over the engine.  [domains] as in
-    {!Domain_pool.create}.  [max_queue] bounds the number of admitted
-    in-flight requests (queued + executing); absent means unbounded.
-    Raises [Invalid_argument] when [max_queue < 1]. *)
+(** A service over the engine.  Without [domains], requests run on a
+    handle on the process-wide pool ({!Xk_util.Domain_pool.shared}): one
+    worker per core, since the caller only blocks in [exec_batch].  The
+    workers are spawned by the first job of the process, so creating a
+    service spawns no domain.  [domains] gives the service a private
+    pool of that many workers instead.  [max_queue] bounds the number
+    of admitted in-flight requests (queued + executing); absent means
+    unbounded.  Raises [Invalid_argument] when [max_queue < 1]. *)
 
 val engine : t -> Xk_core.Engine.t
 val domains : t -> int
@@ -96,4 +100,6 @@ type stats = {
 val stats : t -> stats
 
 val shutdown : t -> unit
-(** Shut the underlying pool down (finishing any in-flight batch). *)
+(** Close the service and return once every request it submitted has
+    run.  A private pool's workers are joined; the shared workers keep
+    serving.  A later {!exec_batch} raises [Invalid_argument]. *)

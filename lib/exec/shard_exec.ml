@@ -74,7 +74,7 @@ type t = {
   sharding : Xk_index.Sharding.t;
   reps : replica array array; (* [shard].(replica) *)
   pres : Xk_core.Engine.t Lazy.t array; (* presentation engine per shard *)
-  pool : Domain_pool.t;
+  pool : Xk_util.Domain_pool.t;
   max_queue : int option;
   hedge_delay_ms : float option;
   rpc_timeout_ms : float;
@@ -143,7 +143,10 @@ let create ?domains ?max_queue ?(replicas = 1) ?breaker
     pres =
       Array.init shards (fun s ->
           lazy (Xk_core.Engine.of_index (Xk_index.Sharding.index sharding s)));
-    pool = Domain_pool.create ?domains ();
+    pool =
+      (match domains with
+      | Some domains -> Xk_util.Domain_pool.create ~domains ()
+      | None -> Xk_util.Domain_pool.shared ());
     max_queue;
     hedge_delay_ms;
     rpc_timeout_ms;
@@ -176,7 +179,7 @@ let remote t =
          match r.rep_transport with Endpoint _ -> true | Engine _ -> false))
     t.reps
 
-let domains t = Domain_pool.size t.pool
+let domains t = Xk_util.Domain_pool.size t.pool
 
 let replica_health t ~shard ~replica =
   Xk_resilience.Health.snapshot t.reps.(shard).(replica).rep_health
@@ -278,7 +281,7 @@ let serve_shard t ~shard ~make_budget ~words req =
   let hedged_attempt ri ~delay_ms alt =
     let o =
       Xk_resilience.Hedge.run ~clock:t.clock ~make_budget
-        ~spawn:(Domain_pool.submit t.pool)
+        ~spawn:(Xk_util.Domain_pool.submit t.pool)
         ~delay_ms
         ~primary:(fun b -> attempt ri b)
         ~hedge:(fun b -> attempt alt b)
@@ -531,7 +534,7 @@ let submit t ?deadline_ms ?budget_for (req : Xk_core.Engine.request) =
     let futures =
       Array.init (Array.length t.reps) (fun shard ->
           let make_budget = budget_thunk shard in
-          Domain_pool.async t.pool (fun () ->
+          Xk_util.Domain_pool.async t.pool (fun () ->
               Fun.protect
                 ~finally:(fun () ->
                   if Atomic.fetch_and_add remaining (-1) = 1 then
@@ -539,7 +542,7 @@ let submit t ?deadline_ms ?budget_for (req : Xk_core.Engine.request) =
                 (fun () -> serve_shard t ~shard ~make_budget ~words req)))
     in
     fun () ->
-      let statuses = Array.map Domain_pool.await futures in
+      let statuses = Array.map Xk_util.Domain_pool.await futures in
       let outcome = gather t req nw statuses in
       (match outcome with
       | Query_service.Ok _ -> Atomic.incr t.completed
@@ -582,7 +585,7 @@ let stats t =
     cache = Xk_index.Sharding.cache_stats t.sharding;
   }
 
-let shutdown t = Domain_pool.shutdown t.pool
+let shutdown t = Xk_util.Domain_pool.shutdown t.pool
 
 (* --- Presentation ----------------------------------------------------- *)
 

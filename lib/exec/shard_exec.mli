@@ -2,7 +2,8 @@
     replicas with failover, circuit breakers, hedging, and graceful
     coverage degradation.
 
-    Each request fans out to one job per shard on a {!Domain_pool};
+    Each request fans out to one job per shard on a
+    {!Xk_util.Domain_pool};
     every shard runs the ordinary budget-aware engine over its
     self-contained index, and a gather step merges the per-shard results
     into exactly the unsharded engine's answer:
@@ -75,13 +76,22 @@ val create :
   ?rpc_timeout_ms:float ->
   Xk_index.Sharding.t ->
   t
-(** Wrap a sharded index: [replicas] (default 1) engines per shard, one
-    shared pool.  [domains] as in {!Domain_pool.create}; [max_queue]
-    bounds admitted in-flight requests; [breaker] configures every
-    replica's circuit breaker; [clock] (ms, injectable for tests) feeds
-    breakers, health latency, and deadline anchoring; [hedge_delay_ms]
-    enables hedged attempts once a replica has been slower than this
-    for a given shard job (absent: hedging off).
+(** Wrap a sharded index: [replicas] (default 1) engines per shard.
+
+    Without [domains], shard jobs run on a handle on the process-wide
+    pool ({!Xk_util.Domain_pool.shared}): one worker per core, since the
+    caller only blocks while its shard jobs run.  The workers are
+    spawned by the first job of the process and never joined, so
+    creating an executor spawns no domain.  [domains] gives the
+    executor a private pool of that many workers instead.  A hedge
+    watcher and a hedged attempt each borrow a worker of the same
+    pool.
+
+    [max_queue] bounds admitted in-flight requests; [breaker]
+    configures every replica's circuit breaker; [clock] (ms, injectable
+    for tests) feeds breakers, health latency, and deadline anchoring;
+    [hedge_delay_ms] enables hedged attempts once a replica has been
+    slower than this for a given shard job (absent: hedging off).
 
     [endpoints] switches every replica to the remote transport: slot
     [(s, r)] dials [endpoints.(s).(r)] instead of running an in-process
@@ -154,6 +164,11 @@ type stats = {
 val stats : t -> stats
 
 val shutdown : t -> unit
+(** Close the executor and return once every pool job it submitted has
+    finished, hedge watchers and losing hedged attempts included, so
+    none of its chaos or fault hooks fires afterwards.  A private pool's
+    workers are joined; the shared workers keep serving other
+    executors.  A later {!exec} raises [Invalid_argument].  Idempotent. *)
 
 (** {1 Presentation}
 

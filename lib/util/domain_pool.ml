@@ -1,71 +1,128 @@
-(* A fixed-size domain pool over one Mutex/Condition-guarded MPMC queue.
+(* Worker domains over one Mutex/Condition-guarded MPMC queue, reached
+   through handles.
 
-   Workers loop: wait for the queue to be non-empty (or the pool to be
-   closed), pop one job with the lock held, run it with the lock
-   released.  Shutdown flips [closed] and broadcasts; workers keep
-   draining the queue until it is empty, so every job submitted before
-   shutdown runs exactly once.
+   A [workers] set is the domains plus their queue.  Workers loop: wait
+   for the queue to be non-empty (or the set to be closed), pop one job
+   with the lock held, run it with the lock released, then settle it
+   against its handle in the same critical section that pops the next
+   job.  Closing the set flips [closed] and broadcasts; workers keep
+   draining the queue until it is empty.
+
+   A handle ([t]) is what callers hold.  It counts its own jobs
+   ([pending], guarded by the workers' lock) from submit to completion,
+   so [shutdown] on one handle closes it and waits for exactly its jobs,
+   while other handles on the same workers keep serving.  A private
+   pool is a handle that holds its workers' domains and closes and joins
+   them on shutdown; the process-wide pool's workers are never joined.
 
    Every critical section goes through [Sync.with_lock]: a raising
-   section (e.g. the closed-pool check in [submit]) releases its lock on
-   the way out. *)
+   section (e.g. the closed-handle check in [submit]) releases its lock
+   on the way out. *)
 
 type job = unit -> unit
 
-type t = {
+type workers = {
   lock : Mutex.t;
   has_work : Condition.t;
-  jobs : job Queue.t;
+  jobs : (t * job) Queue.t;
+  count : int;
   mutable closed : bool;
-  mutable workers : unit Domain.t array; (* [||] once joined *)
+  spawned : bool Atomic.t; (* won by the one caller that spawns the domains *)
 }
 
-let size t = Array.length t.workers
+and t = {
+  workers : workers;
+  idle : Condition.t; (* broadcast under [workers.lock] when [pending] hits 0 *)
+  mutable pending : int; (* submitted, not yet finished *)
+  mutable accepting : bool;
+  mutable owned : unit Domain.t array;
+      (* a private pool's domains, joined by [shutdown]; [||] otherwise *)
+}
 
-let worker pool () =
-  let rec loop () =
-    let job =
-      Sync.with_lock pool.lock (fun () ->
-          while Queue.is_empty pool.jobs && not pool.closed do
-            Condition.wait pool.has_work pool.lock
+let size t = t.workers.count
+
+let settle h =
+  h.pending <- h.pending - 1;
+  if h.pending = 0 then Condition.broadcast h.idle
+
+let worker w () =
+  let rec loop finished =
+    let next =
+      Sync.with_lock w.lock (fun () ->
+          Option.iter settle finished;
+          while Queue.is_empty w.jobs && not w.closed do
+            Condition.wait w.has_work w.lock
           done;
-          if Queue.is_empty pool.jobs then None (* closed: exit *)
-          else Some (Queue.pop pool.jobs))
+          Queue.take_opt w.jobs (* None: closed and drained, exit *))
     in
-    match job with
+    match next with
     | None -> ()
-    | Some job ->
+    | Some (h, job) ->
         (try job () with _ -> ());
-        loop ()
+        loop (Some h)
   in
-  loop ()
+  loop None
 
-let create ?domains () =
-  let n =
-    match domains with
-    | Some d ->
-        if d < 1 then Err.invalid "Domain_pool.create: domains < 1";
-        d
-    | None -> max 1 (Domain.recommended_domain_count () - 1)
-  in
-  let pool =
-    {
-      lock = Mutex.create ();
-      has_work = Condition.create ();
-      jobs = Queue.create ();
-      closed = false;
-      workers = [||];
-    }
-  in
-  pool.workers <- Array.init n (fun _ -> Domain.spawn (worker pool));
-  pool
+let make_workers n =
+  {
+    lock = Mutex.create ();
+    has_work = Condition.create ();
+    jobs = Queue.create ();
+    count = n;
+    closed = false;
+    spawned = Atomic.make false;
+  }
+
+(* Spawn the domains once per set: only the caller that flips [spawned]
+   spawns, so racing submitters never double the workers. *)
+let spawn_workers w =
+  if (not (Atomic.get w.spawned)) && Atomic.compare_and_set w.spawned false true
+  then Array.init w.count (fun _ -> Domain.spawn (worker w))
+  else [||]
+
+let handle workers =
+  {
+    workers;
+    idle = Condition.create ();
+    pending = 0;
+    accepting = true;
+    owned = [||];
+  }
+
+let create ~domains () =
+  if domains < 1 then Err.invalid "Domain_pool.create: domains < 1";
+  let h = handle (make_workers domains) in
+  h.owned <- spawn_workers h.workers;
+  h
+
+(* The process-wide set, published once by compare-and-set: a losing
+   racer drops its candidate and takes the winner's.  Its domains are
+   spawned by the first [submit], not here: idle domains still take part
+   in every stop-the-world collection, so a process that has not served
+   a job yet does not pay for them. *)
+let shared_workers : workers option Atomic.t = Atomic.make None
+
+let rec shared_set () =
+  match Atomic.get shared_workers with
+  | Some w -> w
+  | None ->
+      let w = make_workers (Domain.recommended_domain_count ()) in
+      if Atomic.compare_and_set shared_workers None (Some w) then w
+      else shared_set ()
+
+let shared () = handle (shared_set ())
 
 let submit t job =
-  Sync.with_lock t.lock (fun () ->
-      if t.closed then
+  let w = t.workers in
+  Sync.with_lock w.lock (fun () ->
+      if not t.accepting then
         Err.invalid "Domain_pool.submit: pool is shut down";
-      Queue.push job t.jobs;
-      Condition.signal t.has_work)
+      t.pending <- t.pending + 1;
+      Queue.push (t, job) w.jobs;
+      Condition.signal w.has_work);
+  (* A private set spawned at [create]; the shared set's first job
+     spawns it, and the queued job waits for the workers. *)
+  ignore (spawn_workers w : unit Domain.t array)
 
 (* Futures: a one-shot mailbox with its own lock, filled by the worker
    and emptied by any number of awaiters. *)
@@ -117,12 +174,19 @@ let map_array t f xs =
   Array.map await_exn futs
 
 let shutdown t =
-  let workers =
-    Sync.with_lock t.lock (fun () ->
-        let workers = t.workers in
-        t.closed <- true;
-        t.workers <- [||];
-        Condition.broadcast t.has_work;
-        workers)
+  let w = t.workers in
+  let joinable =
+    Sync.with_lock w.lock (fun () ->
+        t.accepting <- false;
+        while t.pending > 0 do
+          Condition.wait t.idle w.lock
+        done;
+        let owned = t.owned in
+        if Array.length owned > 0 then begin
+          w.closed <- true;
+          t.owned <- [||];
+          Condition.broadcast w.has_work
+        end;
+        owned)
   in
-  Array.iter Domain.join workers
+  Array.iter Domain.join joinable

@@ -1,21 +1,46 @@
-(** A fixed-size pool of OCaml 5 domains consuming jobs from one shared
-    MPMC queue guarded by a [Mutex]/[Condition] pair.
+(** A pool of OCaml 5 domains consuming jobs from one shared MPMC queue
+    guarded by a [Mutex]/[Condition] pair.
+
+    Callers hold a {e handle} ([t]) on a set of worker domains.  A
+    handle counts the jobs submitted through it until they finish, so
+    {!shutdown} closes that handle and waits for exactly its jobs.
+    There are two kinds:
+
+    - a {e private} pool ({!create}) owns its workers and joins them on
+      {!shutdown};
+    - a handle on the {e shared} pool ({!shared}) reaches the one
+      process-wide worker set, which is spawned by the first job
+      submitted to it and never joined.  Any number of handles can
+      serve from it at once, and shutting one down leaves the others
+      running.
+
+    The shared pool has [Domain.recommended_domain_count ()] workers,
+    one per core: the submitting domain does no work of its own and only
+    blocks in {!await}.
 
     Producers ({!submit}/{!async}) may run on any domain, including pool
     workers of {e other} pools; results come back through {!future}
     handles.  There is no work stealing: the queue is the single point of
-    coordination, which keeps the pool small and obviously correct. *)
+    coordination, which keeps the pool small and obviously correct.  A
+    job must not await another job of the same worker set, which could
+    be queued behind it. *)
 
 type t
 
-val create : ?domains:int -> unit -> t
-(** Spawn the worker domains.  [domains] defaults to
-    [Domain.recommended_domain_count () - 1] (at least 1, leaving one
-    core to the submitting domain).  Raises [Invalid_argument] when
-    [domains < 1]. *)
+val create : domains:int -> unit -> t
+(** A private pool: spawn [domains] worker domains owned by the returned
+    handle.  Raises [Invalid_argument] when [domains < 1]. *)
+
+val shared : unit -> t
+(** A fresh handle on the process-wide pool of
+    [Domain.recommended_domain_count ()] workers.  Creating a handle
+    spawns nothing: the first job submitted through any handle spawns
+    the workers, exactly once even when several domains race.  Until
+    then no idle domain takes part in the runtime's stop-the-world
+    collections. *)
 
 val size : t -> int
-(** Number of worker domains. *)
+(** Number of worker domains behind the handle. *)
 
 val submit : t -> (unit -> unit) -> unit
 (** Enqueue a fire-and-forget job.  An exception escaping the job is
@@ -44,5 +69,9 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
     them across workers. *)
 
 val shutdown : t -> unit
-(** Drain the queue, run every job already submitted, then join all
-    workers.  Idempotent; subsequent {!submit}/{!async} calls raise. *)
+(** Close the handle and return once every job submitted through it has
+    run, including jobs those jobs submitted before the close.  A private
+    pool then joins its workers; the shared workers keep serving other
+    handles.  Idempotent; subsequent {!submit}/{!async} calls on this
+    handle raise.  Must not be called from one of the handle's own
+    jobs. *)

@@ -3,6 +3,7 @@
    modes) and a multi-client hammer against one shared engine. *)
 
 open Xk_exec
+module Domain_pool = Xk_util.Domain_pool
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -47,6 +48,48 @@ let pool_shutdown_drains () =
   match Domain_pool.submit pool (fun () -> ()) with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "submit after shutdown accepted"
+
+(* Handles on the shared pool: one worker per core, spawned once even
+   when several domains ask for the pool at the same time.  Shutting a
+   handle down waits for its own jobs and leaves other handles
+   serving. *)
+let pool_shared_handles () =
+  let cores = Domain.recommended_domain_count () in
+  let seen = Xk_util.Sync.Protected.create (ref []) in
+  let record () =
+    let id = (Domain.self () :> int) in
+    Xk_util.Sync.Protected.with_ seen (fun l ->
+        if not (List.mem id !l) then l := id :: !l)
+  in
+  let racers =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            let h = Domain_pool.shared () in
+            for _ = 1 to 20 do
+              Domain_pool.submit h record
+            done;
+            Domain_pool.shutdown h;
+            Domain_pool.size h))
+  in
+  List.iter
+    (fun size -> check Alcotest.int "one worker per core" cores size)
+    (List.map Domain.join racers);
+  let workers = Xk_util.Sync.Protected.with_ seen (fun l -> List.length !l) in
+  if workers > cores then
+    Alcotest.failf "%d distinct workers served a pool of %d" workers cores;
+  let a = Domain_pool.shared () and b = Domain_pool.shared () in
+  let finished = Atomic.make false in
+  Domain_pool.submit a (fun () ->
+      Unix.sleepf 0.05;
+      Atomic.set finished true);
+  Domain_pool.shutdown a;
+  check Alcotest.bool "shutdown waited for its job" true (Atomic.get finished);
+  (match Domain_pool.submit a ignore with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "submit after shutdown accepted");
+  check Alcotest.int "the other handle still serves" 7
+    (Domain_pool.await_exn (Domain_pool.async b (fun () -> 7)));
+  Domain_pool.shutdown b
 
 (* --- Batch equivalence -------------------------------------------- *)
 
@@ -190,6 +233,7 @@ let suite =
         tc "map_array" `Quick pool_map_array;
         tc "exception propagates" `Quick pool_exception_propagates;
         tc "shutdown drains and closes" `Quick pool_shutdown_drains;
+        tc "shared pool handles" `Quick pool_shared_handles;
       ] );
     ( "exec.service",
       [

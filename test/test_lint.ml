@@ -59,7 +59,29 @@ let shared_state () =
   check_rules ~file:"lib/score/fixture.ml" "outside domain-crossing dirs" []
     "let cache = Hashtbl.create 16\n";
   check_rules ~file:"lib/index/fixture.ml" "binding attribute allow" []
-    "let cache = (Hashtbl.create 16 [@xklint.allow shared-state])\n"
+    "let cache = (Hashtbl.create 16 [@xklint.allow shared-state])\n";
+  (* lib/util hosts the process-wide pool: covered too *)
+  check_rules ~file:"lib/util/fixture.ml" "lib/util covered"
+    [ "shared-state" ] "let counter = ref 0\n";
+  (* a top-level lazy can raise when two domains force it at once *)
+  check_rules ~file:"lib/util/fixture.ml" "top-level lazy"
+    [ "shared-state" ] "let shared = lazy (spawn_workers ())\n";
+  check_rules ~file:"lib/exec/fixture.ml" "lazy under a constructor"
+    [ "shared-state" ] "let shared = Some (lazy (spawn_workers ()))\n";
+  check_rules ~file:"lib/util/fixture.ml" "Lazy.from_fun" [ "shared-state" ]
+    "let shared = Lazy.from_fun spawn_workers\n";
+  check_rules ~file:"lib/util/fixture.ml" "compare-and-set is fine" []
+    "let shared = Atomic.make None\n\n\
+     let rec get () =\n\
+    \  match Atomic.get shared with\n\
+    \  | Some w -> w\n\
+    \  | None ->\n\
+    \      let w = make () in\n\
+    \      if Atomic.compare_and_set shared None (Some w) then w else get ()\n";
+  check_rules ~file:"lib/util/fixture.ml" "per-call lazy is fine" []
+    "let engines n = Array.init n (fun i -> lazy (build i))\n";
+  check_rules ~file:"lib/score/fixture.ml" "lazy outside covered dirs" []
+    "let table = lazy (build ())\n"
 
 (* --- rpc-budget ------------------------------------------------------ *)
 

@@ -504,6 +504,75 @@ let concurrent_reads_during_mutation () =
       check_parity "final state" (Live.snapshot t);
       Live.close t)
 
+(* The serving reader of a live store re-pins every published snapshot:
+   one executor per LSN on the shared pool, created, queried and shut
+   down.  200 such cycles, each answer checked against the oracle over
+   that snapshot's own document.  The shared workers serve every cycle:
+   the pool size never moves, and no cycle spawns a domain (the runtime
+   numbers domains in spawn order, so two probe domains bracketing the
+   cycles get consecutive ids). *)
+let reader_cycles_share_the_pool () =
+  with_tmpdir (fun dir ->
+      let pool = subtree_pool 52 in
+      let t =
+        ok_exn "create" (Live.create ~fsync:false ~root_tag:"lib" dir)
+      in
+      let live =
+        ref (ok_exn "seed" (Live.mutate t [ Live.Add (nth_subtree pool 0) ]))
+      in
+      (* The first job of the process may spawn the shared workers. *)
+      let warm = Shard_exec.create (Snapshot.sharding (Live.snapshot t)) in
+      ignore (exec_topk warm [ "kw0" ] ~k:3);
+      Shard_exec.shutdown warm;
+      let probe () =
+        let d = Domain.spawn ignore in
+        Domain.join d;
+        (Domain.get_id d :> int)
+      in
+      let first = probe () in
+      let answered = ref 0 in
+      for i = 1 to 200 do
+        (match !live with
+        | id :: rest when List.length !live > 4 ->
+            live := rest;
+            ignore (ok_exn "remove" (Live.mutate t [ Live.Remove id ]))
+        | _ ->
+            live :=
+              !live
+              @ ok_exn "add" (Live.mutate t [ Live.Add (nth_subtree pool i) ]));
+        let snap = Live.snapshot t in
+        let index =
+          Index.build (Xk_encoding.Labeling.label (Snapshot.document snap))
+        in
+        let words = List.nth queries (i mod List.length queries) in
+        let full =
+          match List.map (Index.term_id index) words with
+          | ids when List.for_all Option.is_some ids ->
+              Xk_baselines.Oracle.elca index (List.filter_map Fun.id ids)
+          | _ -> []
+        in
+        let sx = Shard_exec.create (Snapshot.sharding snap) in
+        Fun.protect
+          ~finally:(fun () -> Shard_exec.shutdown sx)
+          (fun () ->
+            check Alcotest.int "shared pool size"
+              (Domain.recommended_domain_count ())
+              (Shard_exec.domains sx);
+            let msg = Printf.sprintf "cycle %d, LSN %d" i (Snapshot.lsn snap) in
+            (match Shard_exec.exec sx (Engine.complete_request words) with
+            | Query_service.Ok hits ->
+                Tutil.check_same_hits msg full hits;
+                if hits <> [] then incr answered
+            | _ -> Alcotest.failf "%s: complete query did not finish" msg);
+            Tutil.check_topk msg ~k:3 full (exec_topk sx words ~k:3))
+      done;
+      check Alcotest.int "no domain spawned by the cycles" (first + 1)
+        (probe ());
+      if !answered < 50 then
+        Alcotest.failf "only %d of 200 cycles had a non-empty answer"
+          !answered;
+      Live.close t)
+
 (* --- Crash-point recovery drills -------------------------------------- *)
 
 (* The model: the store's logical content as a sorted (id, subtree)
@@ -682,6 +751,8 @@ let suite =
         tc "pinned snapshots are isolated" `Quick snapshot_isolation;
         tc "concurrent reads during mutation" `Slow
           concurrent_reads_during_mutation;
+        tc "reader cycles share the pool" `Quick
+          reader_cycles_share_the_pool;
       ] );
     ( "live.crash",
       [

@@ -1064,6 +1064,85 @@ let admission () =
       | Query_service.Ok _ -> ()
       | o -> Alcotest.failf "post-burst request came back %s" (pp_outcome o))
 
+(* --- Executor lifecycle on the shared pool ------------------------------ *)
+
+module Chaos = Xk_resilience.Chaos
+
+let first_term sharded =
+  Xk_index.Index.term (Xk_index.Sharding.index sharded 0) 0
+
+(* A hedged 2-replica executor on the shared pool.  Every attempt sleeps
+   in its chaos hook: the first for 100 ms, the second for 150 ms.  The
+   hedge fires after 1 ms, so the primary wins and the losing hedge is
+   still inside its hook when [exec] returns.  [shutdown] must wait for
+   it: once it returns, every hook that started has finished, and no
+   hook of this executor starts later. *)
+let shutdown_drains_hedges () =
+  let sharded = Xk_index.Sharding.partition ~shards:1 (Tutil.random_doc 17) in
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  let sleep _ms =
+    let n = Atomic.fetch_and_add started 1 in
+    Unix.sleepf (if n mod 2 = 0 then 0.1 else 0.15);
+    Atomic.incr finished
+  in
+  let any = { Chaos.t_shard = None; t_replica = None } in
+  Chaos.install ~sleep [ Chaos.Slow { target = any; from_tick = 0; ms = 1. } ];
+  Fun.protect ~finally:Chaos.clear (fun () ->
+      let sx = Shard_exec.create ~replicas:2 ~hedge_delay_ms:1. sharded in
+      let req = Xk_core.Engine.complete_request [ first_term sharded ] in
+      (match Shard_exec.exec sx req with
+      | Query_service.Ok _ -> ()
+      | o -> Alcotest.failf "hedged request came back %s" (pp_outcome o));
+      let hedges = (Shard_exec.stats sx).Shard_exec.hedges in
+      Shard_exec.shutdown sx;
+      let ticks = Chaos.tick () and hooks = Atomic.get started in
+      check Alcotest.int "every started hook finished" hooks
+        (Atomic.get finished);
+      Unix.sleepf 0.2;
+      check Alcotest.int "no attempt after shutdown" ticks (Chaos.tick ());
+      check Alcotest.int "no hook after shutdown" hooks (Atomic.get started);
+      (* With one worker the watcher only runs once the primary is done,
+         so the hedge cannot fire; with two it must. *)
+      if Shard_exec.domains sx >= 2 && hedges = 0 then
+        Alcotest.fail "the hedge never fired")
+
+(* Executors on the shared pool are independent: shutting one down
+   leaves another answering, with the unsharded engine's hits. *)
+let shutdown_leaves_others_serving () =
+  let doc = Tutil.random_doc 23 in
+  let engine = Xk_core.Engine.create doc in
+  let sharded = Xk_index.Sharding.partition ~shards:2 doc in
+  let words = [ first_term sharded ] in
+  let req = Xk_core.Engine.complete_request words in
+  let a = Shard_exec.create sharded and b = Shard_exec.create sharded in
+  Fun.protect
+    ~finally:(fun () ->
+      Shard_exec.shutdown a;
+      Shard_exec.shutdown b)
+    (fun () ->
+      ignore (Shard_exec.exec a req);
+      Shard_exec.shutdown a;
+      check Alcotest.int "one worker per core"
+        (Domain.recommended_domain_count ())
+        (Shard_exec.domains b);
+      match Shard_exec.exec b req with
+      | Query_service.Ok hits ->
+          Tutil.check_same_hits "survivor's answer"
+            (Xk_core.Engine.query engine words)
+            hits
+      | o -> Alcotest.failf "survivor came back %s" (pp_outcome o))
+
+let exec_after_shutdown_raises () =
+  let sharded = Xk_index.Sharding.partition ~shards:2 (Tutil.random_doc 29) in
+  let req = Xk_core.Engine.complete_request [ first_term sharded ] in
+  List.iter
+    (fun sx ->
+      Shard_exec.shutdown sx;
+      match Shard_exec.exec sx req with
+      | exception Invalid_argument _ -> ()
+      | o -> Alcotest.failf "exec after shutdown came back %s" (pp_outcome o))
+    [ Shard_exec.create sharded; Shard_exec.create ~domains:1 sharded ]
+
 let suite =
   [
     ( "shard.parity",
@@ -1085,6 +1164,13 @@ let suite =
         tc "root edge cases" `Quick root_edge_cases;
         tc "aggregated stats" `Quick cache_aggregate;
         tc "admission control" `Quick admission;
+      ] );
+    ( "shard.lifecycle",
+      [
+        tc "shutdown drains hedges" `Quick shutdown_drains_hedges;
+        tc "shutdown leaves others serving" `Quick
+          shutdown_leaves_others_serving;
+        tc "exec after shutdown raises" `Quick exec_after_shutdown_raises;
       ] );
     ( "shard.io",
       [

@@ -12,11 +12,13 @@
      [Xk_util.Sync] - critical sections use [Sync.with_lock], which
      releases on raise.  Checked in [lib/], [bin/] and [tools/].
    - [shared-state]: a top-level binding in a domain-crossing library
-     ([lib/exec], [lib/index], [lib/resilience]) must not build bare
-     mutable state ([ref]/[Hashtbl.create]/[Buffer.create]/
+     ([lib/exec], [lib/index], [lib/resilience], [lib/util]) must not
+     build bare mutable state ([ref]/[Hashtbl.create]/[Buffer.create]/
      [Queue.create]); it is either [Atomic.make] or wrapped in
-     [Sync.Protected.create].  Creation under a [fun] is per-call state
-     and is fine.
+     [Sync.Protected.create].  Nor may it be a [lazy]: under OCaml 5,
+     two domains forcing one [Lazy.t] at once can raise, so one-time
+     initialization goes through an [Atomic] compare-and-set or a
+     mutex.  Creation under a [fun] is per-call state and is fine.
    - [typed-error]: no [failwith]/[invalid_arg] (use [Xk_util.Err]), no
      bare [assert false] (use [Err.unreachable] with context), no
      partial stdlib calls ([List.hd]/[List.tl]/[Option.get]) and no
@@ -80,7 +82,7 @@ let make_ctx config ~file =
     check_rpc = in_dir "lib/rpc" file || in_dir "lib/exec" file;
     check_state =
       in_dir "lib/exec" file || in_dir "lib/index" file
-      || in_dir "lib/resilience" file;
+      || in_dir "lib/resilience" file || in_dir "lib/util" file;
     check_lib = in_dir "lib" file || in_dir "bin" file || in_dir "tools" file;
     check_sync = in_dir "lib/index" file || in_dir "lib/storage" file;
   }
@@ -129,8 +131,10 @@ let mentions_sync =
       List.exists (fun m -> Lint_util.contains_substring ~sub:m p) sync_markers)
 
 (* Mutable-state scan for one top-level right-hand side.  Stops at
-   lambdas (per-call state) and at sanctioned wrappers. *)
+   lambdas (per-call state) and at sanctioned wrappers; a [lazy] is
+   reported as the pseudo-constructor ["lazy"]. *)
 let bare_state_ctors = [ "ref"; "Hashtbl.create"; "Buffer.create"; "Queue.create" ]
+let lazy_ctors = [ "lazy"; "Lazy.from_fun" ]
 
 let sanctioned_wrappers =
   [
@@ -150,6 +154,7 @@ let scan_toplevel_state ~on_hit =
       else
         match e.pexp_desc with
         | Pexp_function _ -> () (* per-call state *)
+        | Pexp_lazy _ -> on_hit e.pexp_loc "lazy"
         | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _)
           when List.mem
                  (Lint_ast.strip_stdlib (Lint_ast.ident_path txt))
@@ -158,7 +163,7 @@ let scan_toplevel_state ~on_hit =
         | Pexp_ident { txt; _ }
           when List.mem
                  (Lint_ast.strip_stdlib (Lint_ast.ident_path txt))
-                 bare_state_ctors ->
+                 (bare_state_ctors @ lazy_ctors) ->
             on_hit e.pexp_loc (Lint_ast.strip_stdlib (Lint_ast.ident_path txt))
         | _ -> super#expression e
   end
@@ -204,13 +209,21 @@ class linter ctx =
             let allows = Lint_ast.allows_of_attributes vb.pvb_attributes in
             if not (Lint_ast.allows_hit rule_state allows) then
               (scan_toplevel_state ~on_hit:(fun loc ctor ->
+                   let name_s = Option.value name ~default:"_" in
                    report ctx ~loc ~rule:rule_state ?name
-                     (Printf.sprintf
-                        "top-level mutable state '%s' built with '%s' in a \
-                         domain-crossing library; use Atomic.t or \
-                         Xk_util.Sync.Protected"
-                        (Option.value name ~default:"_")
-                        ctor)))
+                     (if List.mem ctor lazy_ctors then
+                        Printf.sprintf
+                          "top-level lazy '%s' in a domain-crossing library; \
+                           two domains forcing it at once can raise - \
+                           initialize once behind an Atomic compare-and-set \
+                           or a mutex"
+                          name_s
+                      else
+                        Printf.sprintf
+                          "top-level mutable state '%s' built with '%s' in a \
+                           domain-crossing library; use Atomic.t or \
+                           Xk_util.Sync.Protected"
+                          name_s ctor)))
                 #expression vb.pvb_expr)
           vbs
 
