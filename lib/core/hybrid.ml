@@ -37,8 +37,10 @@ let estimate_results (lists : Xk_index.Jlist.t array) ~level_width =
 type choice = Use_topk | Use_complete
 
 (* Prefer the top-K join only when the expected result count comfortably
-   exceeds K; otherwise the top-K join would end up draining the columns
-   anyway and the complete join's merge scans are cheaper. *)
+   exceeds K.  Below that it cannot stop early: every column ends in the
+   same level join the complete evaluation runs, after the sorted accesses
+   and bucket work that found nothing to emit, so the complete join is the
+   cheaper route. *)
 let default_margin = 4.
 
 let choose ?(margin = default_margin) (lists : Xk_index.Jlist.t array)

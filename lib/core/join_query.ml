@@ -42,6 +42,51 @@ let max_damped (jl : Xk_index.Jlist.t) damping (run : Xk_index.Column.run)
   done;
   !best
 
+(* SLCA's ancestor pruning (Section III-F): a run holding a row erased by a
+   deeper match witnesses a strict descendant that contains every keyword. *)
+let run_clean (erased : Erased.t) (r : Xk_index.Column.run) =
+  Erased.covered erased ~lo:r.start_row ~hi:(r.start_row + r.count) = 0
+
+let match_score (lists : Xk_index.Jlist.t array) damping
+    (erased : Erased.t array) semantics (m : Level_join.match_) ~level =
+  let k = Array.length lists in
+  match semantics with
+  | Elca ->
+      (* Range check: every list needs an alive row in N's run. *)
+      let score = ref 0. and ok = ref true in
+      for i = 0 to k - 1 do
+        if !ok then begin
+          let best =
+            max_alive_damped lists.(i) damping erased.(i) m.runs.(i) ~level
+          in
+          if best = neg_infinity then ok := false
+          else score := !score +. best
+        end
+      done;
+      if !ok then !score else neg_infinity
+  | Slca ->
+      if Array.for_all2 run_clean erased m.runs then begin
+        let score = ref 0. in
+        for i = 0 to k - 1 do
+          score := !score +. max_damped lists.(i) damping m.runs.(i) ~level
+        done;
+        !score
+      end
+      else neg_infinity
+
+(* The exclusion: erase every match's full runs from every list, in one
+   batch per list (matches arrive in ascending row order). *)
+let exclude (erased : Erased.t array) (matches : Level_join.match_ list) =
+  let kills = Array.make (Array.length erased) [] in
+  List.iter
+    (fun (m : Level_join.match_) ->
+      Array.iteri
+        (fun i (r : Xk_index.Column.run) ->
+          kills.(i) <- (r.start_row, r.start_row + r.count) :: kills.(i))
+        m.runs)
+    matches;
+  Array.iteri (fun i e -> Erased.add_batch e (List.rev kills.(i))) erased
+
 let run ?(plan = Level_join.Dynamic) ?join_stats
     ?(budget = Xk_resilience.Budget.unlimited)
     (lists : Xk_index.Jlist.t array) damping semantics : hit list =
@@ -59,57 +104,17 @@ let run ?(plan = Level_join.Dynamic) ?join_stats
       let cols = Array.map (fun jl -> Xk_index.Jlist.column jl ~level) lists in
       let matches = Level_join.join ?stats:join_stats ~budget ~plan cols in
       (* Exclusions of this level are applied in one batch once the level's
-         join finishes (Section III-E); matches at one level never share
-         rows, so checks within the level only depend on deeper levels. *)
-      let kills = Array.make k [] in
+         matches are scored (Section III-E); matches at one level never
+         share rows, so checks within the level only depend on deeper
+         levels. *)
       List.iter
         (fun (m : Level_join.match_) ->
           Xk_resilience.Budget.check budget;
-          (match semantics with
-          | Elca ->
-              (* Range check: every list needs an alive row in N's run. *)
-              let score = ref 0. and ok = ref true in
-              for i = 0 to k - 1 do
-                if !ok then begin
-                  let best =
-                    max_alive_damped lists.(i) damping erased.(i) m.runs.(i)
-                      ~level
-                  in
-                  if best = neg_infinity then ok := false
-                  else score := !score +. best
-                end
-              done;
-              if !ok then
-                out := { level; value = m.value; score = !score } :: !out
-          | Slca ->
-              (* N is an SLCA iff no strict descendant matched, i.e. no run
-                 of N contains a previously erased row. *)
-              let clean = ref true in
-              for i = 0 to k - 1 do
-                let r = m.runs.(i) in
-                if
-                  Erased.covered erased.(i) ~lo:r.start_row
-                    ~hi:(r.start_row + r.count)
-                  > 0
-                then clean := false
-              done;
-              if !clean then begin
-                let score = ref 0. in
-                for i = 0 to k - 1 do
-                  score :=
-                    !score +. max_damped lists.(i) damping m.runs.(i) ~level
-                done;
-                out := { level; value = m.value; score = !score } :: !out
-              end);
-          (* Exclusion: erase N's full runs from every list. *)
-          for i = 0 to k - 1 do
-            let r = m.runs.(i) in
-            kills.(i) <- (r.start_row, r.start_row + r.count) :: kills.(i)
-          done)
+          let score = match_score lists damping erased semantics m ~level in
+          if score > neg_infinity then
+            out := { level; value = m.value; score } :: !out)
         matches;
-      for i = 0 to k - 1 do
-        Erased.add_batch erased.(i) (List.rev kills.(i))
-      done
+      exclude erased matches
     done;
     List.rev !out
   end

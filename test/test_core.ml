@@ -384,6 +384,33 @@ let star_join_early_termination () =
 (* ------------------------------------------------------------------ *)
 (* Join-based top-K vs complete evaluation                             *)
 
+(* The join-based top-K of [q], as oracle-comparable hits. *)
+let topk_join_hits ?stats ?(semantics = Engine.Elca) threshold eng q ~k:want =
+  let ids = List.filter_map (Xk_index.Index.term_id (Engine.index eng)) q in
+  if List.length ids < List.length q then []
+  else begin
+    let slists =
+      Array.of_list
+        (List.map (Xk_index.Index.score_list (Engine.index eng))
+           (List.sort_uniq Int.compare ids))
+    in
+    let sem =
+      match semantics with
+      | Engine.Elca -> Topk_keyword.Elca
+      | Engine.Slca -> Topk_keyword.Slca
+    in
+    Topk_keyword.topk ?stats ~threshold ~semantics:sem slists
+      (Xk_index.Index.damping (Engine.index eng))
+      ~k:want
+    |> List.map (fun (h : Join_query.hit) ->
+           match
+             Xk_encoding.Labeling.find (Engine.label eng) ~depth:h.level
+               ~jnum:h.value
+           with
+           | Some node -> { Xk_baselines.Hit.node; score = h.score }
+           | None -> Alcotest.failf "no node at level %d jnum %d" h.level h.value)
+  end
+
 let topk_vs_complete ?(semantics = Engine.Elca) threshold name =
   QCheck.Test.make ~count:300 ~name
     QCheck.(pair (int_bound 1_000_000) (int_range 1 4))
@@ -393,35 +420,119 @@ let topk_vs_complete ?(semantics = Engine.Elca) threshold name =
       let q = Tutil.random_query rng ~k ~alphabet:4 in
       let want = 1 + Xk_datagen.Rng.int rng 6 in
       let full = Engine.query ~semantics ~algorithm:Engine.Oracle eng q in
-      let ids =
-        List.filter_map (Xk_index.Index.term_id (Engine.index eng)) q
-      in
-      let topk =
-        if List.length ids < List.length q then []
-        else begin
-          let slists =
-            Array.of_list
-              (List.map (Xk_index.Index.score_list (Engine.index eng))
-                 (List.sort_uniq Int.compare ids))
-          in
-          let sem =
-            match semantics with
-            | Engine.Elca -> Topk_keyword.Elca
-            | Engine.Slca -> Topk_keyword.Slca
-          in
-          Topk_keyword.topk ~threshold ~semantics:sem slists
-            (Xk_index.Index.damping (Engine.index eng))
-            ~k:want
-          |> List.map (fun (h : Join_query.hit) ->
-                 match
-                   Xk_encoding.Labeling.find (Engine.label eng) ~depth:h.level
-                     ~jnum:h.value
-                 with
-                 | Some node -> { Xk_baselines.Hit.node; score = h.score }
-                 | None -> assert false)
-        end
-      in
+      let topk = topk_join_hits ~semantics threshold eng q ~k:want in
       Tutil.check_topk name ~k:want full topk;
+      true)
+
+(* Skewed pairs: a keyword at a few elements against one at hundreds, so
+   the short list drains first in almost every column and the level join
+   finishes the column. *)
+let topk_skewed_vs_oracle ?(semantics = Engine.Elca) threshold name =
+  QCheck.Test.make ~count:60 ~name
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 10))
+    (fun (seed, want) ->
+      let rng = Xk_datagen.Rng.create seed in
+      let rare = 1 + Xk_datagen.Rng.int rng 5 in
+      let eng =
+        Tutil.skewed_engine ~seed ~nodes:600 ~rare
+          ~common_p:(0.3 +. (0.5 *. Xk_datagen.Rng.float rng))
+      in
+      let q = [ "rare"; "common" ] in
+      let full = Engine.query ~semantics ~algorithm:Engine.Oracle eng q in
+      let topk = topk_join_hits ~semantics threshold eng q ~k:want in
+      Tutil.check_topk name ~k:want full topk;
+      true)
+
+(* A column's cost is its shortest list: against an uncorrelated
+   2,000-occurrence keyword, a 3-occurrence keyword stops each column after
+   a few pulls, and the level join finishes it. *)
+let topk_pulls_short_list () =
+  let eng = Tutil.skewed_engine ~seed:11 ~nodes:4000 ~rare:3 ~common_p:0.5 in
+  let idx = Engine.index eng in
+  let df w =
+    match Xk_index.Index.term_id idx w with
+    | Some id -> Xk_index.Jlist.length (Xk_index.Index.jlist idx id)
+    | None -> 0
+  in
+  check Alcotest.int "short list" 3 (df "rare");
+  check Alcotest.bool "long list" true (df "common" > 1_800);
+  List.iter
+    (fun semantics ->
+      let q = [ "rare"; "common" ] in
+      let stats = Topk_keyword.new_stats () in
+      let topk = topk_join_hits ~stats ~semantics Topk_keyword.Tight eng q ~k:5 in
+      let full = Engine.query ~semantics ~algorithm:Engine.Oracle eng q in
+      Tutil.check_topk "skewed top-5" ~k:5 full topk;
+      if stats.pulled > 4 * 3 * stats.columns then
+        Alcotest.failf "pulled %d rows over %d columns" stats.pulled
+          stats.columns)
+    [ Engine.Elca; Engine.Slca ]
+
+(* The alive-row frontier's ceiling against a full rescan of every alive
+   row (the reference), bit for bit, while random erasure grows in
+   rounds. *)
+let rescan_ceiling slists (erased : Erased.t array) damping ~level =
+  let total = ref 0. and any_empty = ref false in
+  Array.iteri
+    (fun i sl ->
+      let jl = Xk_index.Score_list.jlist sl in
+      let best = ref neg_infinity in
+      Erased.iter_alive erased.(i) ~lo:0 ~hi:(Xk_index.Jlist.length jl)
+        (fun lo hi ->
+          for r = lo to hi - 1 do
+            let len = Xk_index.Jlist.row_len jl r in
+            let v =
+              Xk_index.Jlist.score jl r
+              *. Xk_score.Damping.apply damping (max 0 (len - level))
+            in
+            if v > !best then best := v
+          done);
+      if !best = neg_infinity then any_empty := true
+      else total := !total +. !best)
+    slists;
+  if !any_empty then neg_infinity else !total
+
+let frontier_ceiling_prop =
+  QCheck.Test.make ~count:200 ~name:"incremental ceiling = full alive rescan"
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 4))
+    (fun (seed, k) ->
+      let eng = Tutil.random_engine seed in
+      let idx = Engine.index eng in
+      let rng = Xk_datagen.Rng.create (seed + 31) in
+      let q = Tutil.random_query rng ~k ~alphabet:4 in
+      let ids = List.filter_map (Xk_index.Index.term_id idx) q in
+      let slists =
+        Array.of_list
+          (List.map (Xk_index.Index.score_list idx) (List.sort_uniq Int.compare ids))
+      in
+      let damping = Xk_index.Index.damping idx in
+      let erased = Array.map (fun _ -> Erased.create ()) slists in
+      let front = Topk_keyword.frontier slists in
+      let height =
+        Array.fold_left
+          (fun m sl -> max m (Xk_index.Jlist.max_len (Xk_index.Score_list.jlist sl)))
+          0 slists
+      in
+      for round = 0 to 5 do
+        if round > 0 then
+          Array.iteri
+            (fun i sl ->
+              let n = Xk_index.Jlist.length (Xk_index.Score_list.jlist sl) in
+              for _ = 1 to Xk_datagen.Rng.int rng 4 do
+                let lo = Xk_datagen.Rng.int rng n in
+                let hi = min n (lo + 1 + Xk_datagen.Rng.int rng (1 + (n / 3))) in
+                Erased.add erased.(i) ~lo ~hi
+              done)
+            slists;
+        Topk_keyword.advance front erased;
+        for level = 1 to height do
+          let want = rescan_ceiling slists erased damping ~level in
+          let got = Topk_keyword.ceiling front damping ~level in
+          if Int64.bits_of_float want <> Int64.bits_of_float got then
+            Alcotest.failf "round %d level %d: ceiling %h, rescan %h" round
+              level got want
+        done
+      done;
       true)
 
 let hybrid_matches_topk =
@@ -496,6 +607,8 @@ let suite =
     ( "core.topk",
       [
         tc "early exit on correlated data" `Quick topk_stats_early_exit;
+        tc "a column costs the short list" `Quick topk_pulls_short_list;
+        QCheck_alcotest.to_alcotest frontier_ceiling_prop;
         QCheck_alcotest.to_alcotest
           (topk_vs_complete Topk_keyword.Tight "top-K join = oracle top-K (tight)");
         QCheck_alcotest.to_alcotest
@@ -503,6 +616,18 @@ let suite =
         QCheck_alcotest.to_alcotest
           (topk_vs_complete ~semantics:Engine.Slca Topk_keyword.Tight
              "SLCA top-K join = oracle SLCA top-K");
+        QCheck_alcotest.to_alcotest
+          (topk_skewed_vs_oracle Topk_keyword.Tight
+             "skewed top-K join = oracle top-K (tight)");
+        QCheck_alcotest.to_alcotest
+          (topk_skewed_vs_oracle Topk_keyword.Classic
+             "skewed top-K join = oracle top-K (classic)");
+        QCheck_alcotest.to_alcotest
+          (topk_skewed_vs_oracle ~semantics:Engine.Slca Topk_keyword.Tight
+             "skewed SLCA top-K join = oracle top-K (tight)");
+        QCheck_alcotest.to_alcotest
+          (topk_skewed_vs_oracle ~semantics:Engine.Slca Topk_keyword.Classic
+             "skewed SLCA top-K join = oracle top-K (classic)");
         QCheck_alcotest.to_alcotest hybrid_matches_topk;
       ] );
   ]

@@ -120,6 +120,42 @@ let partial_prefix () =
   (* The sweep must actually exercise the anytime cutoff somewhere. *)
   check Alcotest.bool "some strict partials observed" true (!strict > 0)
 
+(* A skewed pair stops pulling a few rows into each column; the level joins
+   that finish the columns take most of the budget polls.  Sweeping every
+   tick allowance up to the full run's count cuts the run at each poll,
+   those inside the finishes included: every partial answer must still be
+   a prefix of the full top-K. *)
+let partial_prefix_in_finish () =
+  let eng = Tutil.skewed_engine ~seed:5 ~nodes:3000 ~rare:4 ~common_p:0.5 in
+  let q = [ "rare"; "common" ] in
+  let stats = Xk_core.Topk_keyword.new_stats () in
+  let probe = Budget.create ~ticks:max_int () in
+  let full = Xk_core.Engine.query_topk ~stats ~budget:probe eng q ~k:10 in
+  let polls =
+    match Budget.ticks_left probe with
+    | Some left -> max_int - left
+    | None -> Alcotest.fail "tick budget without an allowance"
+  in
+  (* Outside the finishes the budget is polled once per column entered and
+     once per pull. *)
+  let finish_polls = polls - stats.columns - stats.pulled in
+  if finish_polls <= 0 then
+    Alcotest.failf "no poll inside a finish (%d polls, %d columns, %d pulls)"
+      polls stats.columns stats.pulled;
+  if List.length full < 2 then Alcotest.fail "the skewed query has < 2 results";
+  let strict = ref 0 in
+  for ticks = 1 to polls do
+    let budget = Budget.create ~ticks () in
+    let partial = Xk_core.Engine.query_topk ~budget eng q ~k:10 in
+    assert_prefix (Printf.sprintf "ticks %d" ticks) full partial;
+    if
+      Budget.exhausted budget
+      && partial <> []
+      && List.length partial < List.length full
+    then incr strict
+  done;
+  check Alcotest.bool "some strict partials observed" true (!strict > 0)
+
 let partial_prefix_hybrid () =
   let eng = rich_engine 4321 in
   for qi = 0 to 3 do
@@ -797,6 +833,8 @@ let suite =
     ( "resilience.anytime",
       [
         tc "partial is a prefix of full top-K" `Quick partial_prefix;
+        tc "partial prefix inside a column finish" `Quick
+          partial_prefix_in_finish;
         tc "hybrid partial prefix" `Quick partial_prefix_hybrid;
         tc "complete modes raise" `Quick complete_raises;
         tc "outcome dispatch" `Quick outcome_dispatch;

@@ -1033,17 +1033,41 @@ let cache_aggregate () =
 
 (* --- Admission control ------------------------------------------------ *)
 
+module Chaos = Xk_resilience.Chaos
+
+(* A 20-request burst against [max_queue = 1].  Every attempt first waits
+   in its chaos hook until the whole burst has been submitted, so the
+   first admitted request is still in flight when the others arrive and
+   the workers cannot drain the burst before admission sees it. *)
 let admission () =
   let doc = Tutil.random_doc 21 in
   let sharded = Xk_index.Sharding.partition ~shards:2 doc in
   let sx = Shard_exec.create ~domains:2 ~max_queue:1 sharded in
-  Fun.protect ~finally:(fun () -> Shard_exec.shutdown sx) (fun () ->
+  let burst = 20 in
+  let latch _ms =
+    let t0 = Unix.gettimeofday () in
+    while
+      (Shard_exec.stats sx).Shard_exec.queries < burst
+      && Unix.gettimeofday () -. t0 < 10.
+    do
+      Unix.sleepf 0.001
+    done
+  in
+  let any = { Chaos.t_shard = None; t_replica = None } in
+  Fun.protect
+    ~finally:(fun () ->
+      Chaos.clear ();
+      Shard_exec.shutdown sx)
+    (fun () ->
       let rng = Xk_datagen.Rng.create 4 in
       let words = Tutil.random_query rng ~k:2 ~alphabet:26 in
       let reqs =
-        List.init 20 (fun _ -> Xk_core.Engine.complete_request words)
+        List.init burst (fun _ -> Xk_core.Engine.complete_request words)
       in
+      Chaos.install ~sleep:latch
+        [ Chaos.Slow { target = any; from_tick = 0; ms = 1. } ];
       let outcomes = Shard_exec.exec_batch sx reqs in
+      Chaos.clear ();
       let rejected =
         List.length
           (List.filter (fun o -> o = Query_service.Rejected) outcomes)
@@ -1065,8 +1089,6 @@ let admission () =
       | o -> Alcotest.failf "post-burst request came back %s" (pp_outcome o))
 
 (* --- Executor lifecycle on the shared pool ------------------------------ *)
-
-module Chaos = Xk_resilience.Chaos
 
 let first_term sharded =
   Xk_index.Index.term (Xk_index.Sharding.index sharded 0) 0

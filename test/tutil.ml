@@ -70,3 +70,32 @@ let check_topk msg ~k (full : Xk_baselines.Hit.t list)
               h.score f.score
       | None -> Alcotest.failf "%s: node %d is not a result at all" msg h.node)
     topk
+
+(* A random tree of [nodes] elements, up to eight deep, in which "rare"
+   occurs at [rare] random elements and "common" independently at each
+   element with probability [common_p]: an uncorrelated low/high-frequency
+   keyword pair, the shape of Fig. 10(a)'s low-correlation queries. *)
+let skewed_engine ~seed ~nodes ~rare ~common_p =
+  let rng = Xk_datagen.Rng.create seed in
+  let rare_at = Xk_datagen.Rng.sample rng ~n:nodes ~k:rare in
+  let buf = Buffer.create (nodes * 24) in
+  let count = ref 0 in
+  let rec element depth =
+    let id = !count in
+    incr count;
+    Buffer.add_string buf "<e>";
+    if Array.mem id rare_at then Buffer.add_string buf "rare ";
+    if Xk_datagen.Rng.float rng < common_p then Buffer.add_string buf "common ";
+    Buffer.add_string buf "filler";
+    let children = if depth >= 8 then 0 else Xk_datagen.Rng.int rng 4 in
+    for _ = 1 to children do
+      if !count < nodes then element (depth + 1)
+    done;
+    Buffer.add_string buf "</e>"
+  in
+  Buffer.add_string buf "<r>";
+  while !count < nodes do
+    element 2
+  done;
+  Buffer.add_string buf "</r>";
+  Xk_core.Engine.of_string (Buffer.contents buf)
